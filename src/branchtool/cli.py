@@ -14,36 +14,31 @@ import sys
 from typing import Any
 
 import branchtool
-from branchtool.graph import (
-    GraphError,
-    MultiGraph,
-    adjacency_matrix,
-    induced_subgraph,
-    parse_edge_list,
-)
+from branchtool.graph import GraphError, MultiGraph, parse_edge_list
 from branchtool.growth import (
+    EMPIRICAL_LENGTH,
+    GraphAnalysis,
     InsufficientDataError,
-    branching_ratio,
-    degree_bound,
     fit_asymptotics,
     sandwich_check,
 )
-from branchtool.scc import scc_decompose, scc_period, upstream
+from branchtool.scc import scc_decompose
 from branchtool.spectral import (
     NumericalError,
     cesaro_average,
-    perron,
     perron_projection,
     spectrum_small,
 )
 from branchtool.walks import (
     BudgetExceededError,
+    WalkCountSeries,
+    empirical_branching_ratio,
     enumeration_budget,
     input_tree,
     ratio_sequence,
     tree_to_dict,
     tree_to_text,
-    walk_counts,
+    walk_count_sweep,
 )
 
 DEFAULT_MAX_LEN = 240
@@ -132,17 +127,22 @@ def _label_sets(g: MultiGraph, comps: tuple[tuple[int, ...], ...]) -> list[list[
     return [[g.labels[v] for v in comp] for comp in comps]
 
 
-def _analyze_node(g: MultiGraph, node: int, max_len: int) -> dict[str, Any]:
-    report = branching_ratio(g, node)
-    up = upstream(g, node)
-    degree = degree_bound(up, report.critical_sccs)
-    series = walk_counts(g, node, max_len)
+def _analyze_node(
+    analysis: GraphAnalysis, sweep: WalkCountSeries, max_len: int
+) -> dict[str, Any]:
+    g = analysis.graph
+    node = sweep.node
+    facts = analysis.growth(node)
+    empirical = empirical_branching_ratio(
+        WalkCountSeries(node, sweep.counts[: EMPIRICAL_LENGTH + 1])
+    )
+    series = WalkCountSeries(node, sweep.counts[: max_len + 1])
     fits: list[dict[str, Any]] | None = None
     fit_note: str | None = None
     sandwich: dict[str, Any] | None = None
-    if report.delta > 0.0:
+    if facts.delta > 0.0:
         try:
-            profile = fit_asymptotics(series, report.delta, report.modulus, degree)
+            profile = fit_asymptotics(series, facts.delta, facts.modulus, facts.degree)
             fits = [
                 {
                     "residue": fit.residue,
@@ -153,7 +153,7 @@ def _analyze_node(g: MultiGraph, node: int, max_len: int) -> dict[str, Any]:
             ]
         except InsufficientDataError as exc:
             fit_note = str(exc)
-        check = sandwich_check(series, report.delta)
+        check = sandwich_check(series, facts.delta)
         sandwich = {
             "passed": check.passed,
             "c": check.c,
@@ -164,15 +164,15 @@ def _analyze_node(g: MultiGraph, node: int, max_len: int) -> dict[str, Any]:
     tail = [str(c) for c in series.counts[-5:]]
     return {
         "label": g.labels[node],
-        "delta": report.delta,
-        "empirical": report.empirical,
-        "agreement": report.agreement,
-        "modulus": report.modulus,
-        "degree_bound": degree,
-        "method": report.method,
-        "upstream": [g.labels[v] for v in up.nodes],
-        "upstream_sccs": _label_sets(g, report.upstream_sccs),
-        "critical_sccs": _label_sets(g, report.critical_sccs),
+        "delta": facts.delta,
+        "empirical": empirical,
+        "agreement": abs(facts.delta - empirical),
+        "modulus": facts.modulus,
+        "degree_bound": facts.degree,
+        "method": "spectral",
+        "upstream": [g.labels[v] for v in facts.upstream_nodes],
+        "upstream_sccs": _label_sets(g, facts.upstream_sccs),
+        "critical_sccs": _label_sets(g, facts.critical_sccs),
         "fits": fits,
         "fit_note": fit_note,
         "sandwich": sandwich,
@@ -183,8 +183,10 @@ def _analyze_node(g: MultiGraph, node: int, max_len: int) -> dict[str, Any]:
 
 
 def cmd_analyze(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> str:
-    out = _envelope(args, g, {"max_len": args.max_len, "empirical_length": 200})
-    out["nodes"] = [_analyze_node(g, v, args.max_len) for v in nodes]
+    analysis = GraphAnalysis(g, tol=args.tol)
+    sweeps = walk_count_sweep(g, nodes, max(args.max_len, EMPIRICAL_LENGTH))
+    out = _envelope(args, g, {"max_len": args.max_len, "empirical_length": EMPIRICAL_LENGTH})
+    out["nodes"] = [_analyze_node(analysis, sweep, args.max_len) for sweep in sweeps]
     fmt = args.format or "text"
     if fmt == "json":
         return json.dumps(out, sort_keys=True, indent=2) + "\n"
@@ -248,8 +250,9 @@ def cmd_analyze(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> st
     return "".join(line + "\n" for line in lines)
 
 
-def _walk_rows(g: MultiGraph, node: int, max_len: int) -> list[tuple[str, int, int, float | None, float | None]]:
-    series = walk_counts(g, node, max_len)
+def _walk_rows(
+    g: MultiGraph, series: WalkCountSeries
+) -> list[tuple[str, int, int, float | None, float | None]]:
     rows: list[tuple[str, int, int, float | None, float | None]] = []
     for ell, count in enumerate(series.counts):
         ratio: float | None = None
@@ -259,23 +262,23 @@ def _walk_rows(g: MultiGraph, node: int, max_len: int) -> list[tuple[str, int, i
             if prev > 0:
                 ratio = count / prev
             root = math.exp(math.log(count) / ell) if count > 0 else 0.0
-        rows.append((g.labels[node], ell, count, ratio, root))
+        rows.append((g.labels[series.node], ell, count, ratio, root))
     return rows
 
 
 def cmd_walks(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> str:
+    table = walk_count_sweep(g, nodes, args.max_len)
     fmt = args.format or "csv"
     if fmt == "csv":
         lines = ["node,ell,count,ratio,root"]
-        for v in nodes:
-            for label, ell, count, ratio, root in _walk_rows(g, v, args.max_len):
+        for series in table:
+            for label, ell, count, ratio, root in _walk_rows(g, series):
                 lines.append(f"{label},{ell},{count},{_fmt(ratio)},{_fmt(root)}")
         return "".join(line + "\n" for line in lines)
     if fmt == "json":
         out = _envelope(args, g, {"max_len": args.max_len})
         series_entries = []
-        for v in nodes:
-            series = walk_counts(g, v, args.max_len)
+        for series in table:
             diag = ratio_sequence(series)
             verdict: dict[str, Any] = {"kind": diag.verdict.kind}
             if diag.verdict.value is not None:
@@ -284,10 +287,10 @@ def cmd_walks(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> str:
                 verdict["period"] = diag.verdict.period
             if diag.verdict.limits is not None:
                 verdict["limits"] = list(diag.verdict.limits)
-            rows = _walk_rows(g, v, args.max_len)
+            rows = _walk_rows(g, series)
             series_entries.append(
                 {
-                    "node": g.labels[v],
+                    "node": g.labels[series.node],
                     "counts": [str(c) for c in series.counts],
                     "ratios": [r for _, _, _, r, _ in rows],
                     "roots": [r for _, _, _, _, r in rows],
@@ -297,16 +300,15 @@ def cmd_walks(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> str:
         out["series"] = series_entries
         return json.dumps(out, sort_keys=True, indent=2) + "\n"
     lines = []
-    for v in nodes:
-        series = walk_counts(g, v, args.max_len)
+    for series in table:
         diag = ratio_sequence(series)
-        lines.append(f"node {g.labels[v]}: verdict {diag.verdict.kind}")
+        lines.append(f"node {g.labels[series.node]}: verdict {diag.verdict.kind}")
         if diag.verdict.kind == "converges":
             lines[-1] += f" -> {_fmt(diag.verdict.value)}"
         elif diag.verdict.kind == "oscillates":
             limits = " ".join(_fmt(x) for x in diag.verdict.limits or ())
             lines[-1] += f" (period {diag.verdict.period}, limits [{limits}])"
-        for _, ell, count, ratio, root in _walk_rows(g, v, args.max_len):
+        for _, ell, count, ratio, root in _walk_rows(g, series):
             lines.append(f"  {ell:>4}  {count}  {_fmt(ratio)}  {_fmt(root)}")
     return "".join(line + "\n" for line in lines)
 
@@ -330,32 +332,29 @@ def cmd_tree(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> str:
-    dec = scc_decompose(g)
+    analysis = GraphAnalysis(g, tol=args.tol)
     sccs = []
-    for c in dec.topo_order:
-        comp = dec.components[c]
-        block = adjacency_matrix(induced_subgraph(g, comp))
-        trivial = len(comp) == 1 and block[0][0] == 0
-        period = scc_period(g, comp).h
+    for c in analysis.dec.topo_order:
+        scc = analysis.sccs[c]
         entry: dict[str, Any] = {
-            "nodes": [g.labels[v] for v in comp],
-            "trivial": trivial,
-            "period": period,
+            "nodes": [g.labels[v] for v in scc.nodes],
+            "trivial": scc.trivial,
+            "period": scc.period,
         }
-        if trivial:
+        if scc.trivial:
             entry.update({"rho": 0.0, "eigenvalues": [{"im": 0.0, "re": 0.0}],
                           "cesaro_residual": None})
         else:
-            pd = perron(block, tol=args.tol)
+            pd = analysis.perron(c)
             entry["rho"] = pd.rho
-            if len(comp) <= SPECTRUM_BLOCK_LIMIT:
-                est = spectrum_small(block, seed=args.seed)
+            if len(scc.nodes) <= SPECTRUM_BLOCK_LIMIT:
+                est = spectrum_small(scc.block, seed=args.seed)
                 entry["eigenvalues"] = [
                     {"im": z.imag, "re": z.real} for z in est.eigenvalues
                 ]
             else:
                 entry["eigenvalues"] = None
-            avg = cesaro_average(block, pd, CESARO_K)
+            avg = cesaro_average(scc.block, pd, CESARO_K)
             entry["cesaro_residual"] = float(
                 abs(avg - perron_projection(pd)).max()
             )

@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from branchtool.graph import MultiGraph, adjacency_matrix, induced_subgraph
-from branchtool.scc import UpstreamSet, scc_decompose, scc_period, upstream
-from branchtool.spectral import perron, rho_equal
+from branchtool.graph import MultiGraph
+from branchtool.scc import UpstreamSet, scc_blocks, scc_decompose, upstream
+from branchtool.spectral import (
+    PerronData,
+    char_poly,
+    common_root_near,
+    perron,
+    rho_close,
+    rho_equal,
+)
 from branchtool.walks import WalkCountSeries, empirical_branching_ratio, walk_counts
 
 EMPIRICAL_LENGTH = 200
@@ -83,37 +89,117 @@ class SandwichCheck:
 
 
 @dataclass(frozen=True)
-class _ComponentSpectra:
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    rhos: tuple[float, ...]
-    periods: tuple[int, ...]
-    trivial: tuple[bool, ...]
+class GrowthFacts:
+    """What the theorem says about every node of one SCC.
+
+    Component sets are tuples of node indices, listed in topological order;
+    ``upstream_nodes`` is the ascending union of ``upstream_sccs``.  The
+    fields match those of :class:`BranchingRatioReport` and
+    :func:`degree_bound` for any node of the SCC.
+    """
+
+    upstream_nodes: tuple[int, ...]
+    upstream_sccs: tuple[tuple[int, ...], ...]
+    delta: float
+    critical_sccs: tuple[tuple[int, ...], ...]
+    modulus: int
+    degree: int
 
 
-@lru_cache(maxsize=512)
-def _graph_spectra(g: MultiGraph) -> _ComponentSpectra:
-    """Per-SCC adjacency blocks, Perron values, and periods (cached)."""
-    dec = scc_decompose(g)
-    blocks: list[tuple[tuple[int, ...], ...]] = []
-    rhos: list[float] = []
-    periods: list[int] = []
-    trivial: list[bool] = []
-    for comp in dec.components:
-        block = adjacency_matrix(induced_subgraph(g, comp))
-        frozen = tuple(tuple(row) for row in block)
-        period = scc_period(g, comp).h
-        is_trivial = len(comp) == 1 and block[0][0] == 0
-        rho = 0.0 if is_trivial else perron(block).rho
-        blocks.append(frozen)
-        rhos.append(rho)
-        periods.append(period)
-        trivial.append(is_trivial)
-    return _ComponentSpectra(
-        blocks=tuple(blocks),
-        rhos=tuple(rhos),
-        periods=tuple(periods),
-        trivial=tuple(trivial),
-    )
+class GraphAnalysis:
+    """Per-graph facts that every subcommand reads, each computed once.
+
+    The condensation and every SCC's block and period come from one pass on
+    construction.  Perron data (at tolerance ``tol``), characteristic
+    polynomials, tie tests and per-SCC growth facts are computed on first
+    use and kept, so all nodes of one SCC share them.
+    """
+
+    def __init__(self, g: MultiGraph, tol: float = 1e-12) -> None:
+        self.graph = g
+        self.tol = tol
+        self.dec = scc_decompose(g)
+        self.sccs = scc_blocks(g)
+        self._perron: dict[int, PerronData] = {}
+        self._char_poly: dict[int, tuple[int, ...]] = {}
+        self._tied: dict[tuple[int, int], bool] = {}
+        self._growth: dict[int, GrowthFacts] = {}
+        self._topo_pos = [0] * len(self.sccs)
+        for k, c in enumerate(self.dec.topo_order):
+            self._topo_pos[c] = k
+        self._cond_preds: list[list[int]] = [[] for _ in self.sccs]
+        for cs, cd in self.dec.condensation_edges:
+            self._cond_preds[cd].append(cs)
+
+    def perron(self, c: int) -> PerronData:
+        """Perron data of component ``c``, which must be non-trivial."""
+        if c not in self._perron:
+            self._perron[c] = perron(self.sccs[c].block, tol=self.tol)
+        return self._perron[c]
+
+    def rho(self, c: int) -> float:
+        return 0.0 if self.sccs[c].trivial else self.perron(c).rho
+
+    def _ties(self, c: int, peak: int) -> bool:
+        """Whether component ``c`` shares the Perron root of ``peak``: the
+        test of :func:`rho_equal`, with one char poly per component."""
+        if c == peak:
+            return True
+        if not rho_close(self.rho(c), self.rho(peak)):
+            return False
+        if (c, peak) not in self._tied:
+            for k in (c, peak):
+                if k not in self._char_poly:
+                    self._char_poly[k] = char_poly(self.sccs[k].block)
+            self._tied[(c, peak)] = common_root_near(
+                self._char_poly[c],
+                self._char_poly[peak],
+                0.5 * (self.rho(c) + self.rho(peak)),
+            )
+        return self._tied[(c, peak)]
+
+    def growth(self, node: int) -> GrowthFacts:
+        """Growth facts of ``node``, read off the condensation: ``delta`` is
+        the largest Perron root upstream, the critical SCCs tie it, the
+        modulus is the lcm of their periods, and the degree bound is the
+        longest chain of critical SCCs (Rothblum 1975) minus one."""
+        c = self.dec.component_of[node]
+        if c not in self._growth:
+            self._growth[c] = self._component_growth(c)
+        return self._growth[c]
+
+    def _component_growth(self, target: int) -> GrowthFacts:
+        seen = {target}
+        stack = [target]
+        while stack:
+            for p in self._cond_preds[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        chain = sorted(seen, key=self._topo_pos.__getitem__)
+        components = self.dec.components
+        upstream_nodes = tuple(sorted(v for c in chain for v in components[c]))
+        upstream_sccs = tuple(components[c] for c in chain)
+        nontrivial = [c for c in chain if not self.sccs[c].trivial]
+        if not nontrivial:
+            return GrowthFacts(upstream_nodes, upstream_sccs, 0.0, (), 0, 0)
+        peak = max(nontrivial, key=self.rho)
+        critical = [c for c in nontrivial if self._ties(c, peak)]
+        critical_set = set(critical)
+        # Longest path through the upstream part of the condensation,
+        # counting critical components; every predecessor is upstream too.
+        best: dict[int, int] = {}
+        for c in chain:
+            feed = max((best[p] for p in self._cond_preds[c]), default=0)
+            best[c] = (c in critical_set) + feed
+        return GrowthFacts(
+            upstream_nodes=upstream_nodes,
+            upstream_sccs=upstream_sccs,
+            delta=self.rho(peak),
+            critical_sccs=tuple(components[c] for c in critical),
+            modulus=math.lcm(*(self.sccs[c].period for c in critical)),
+            degree=max(0, best[target] - 1),
+        )
 
 
 def branching_ratio(
@@ -121,19 +207,19 @@ def branching_ratio(
 ) -> BranchingRatioReport:
     """Branching ratio of ``node``: the max Perron eigenvalue upstream.
 
-    Critical components are those whose Perron value ties the maximum; ties
-    are accepted only when the float comparison is confirmed by an exact
-    common factor of the characteristic polynomials.
+    This is the per-node route: the upstream closure of ``node``, its SCCs,
+    and a tie test of each against the peak.  Critical components are those
+    whose Perron value ties the maximum; ties are accepted only when the
+    float comparison is confirmed by an exact common factor of the
+    characteristic polynomials.
     """
     dec = scc_decompose(g)
-    spectra = _graph_spectra(g)
-    u = upstream(g, node)
-    chain = u.scc_chain
+    analysis = GraphAnalysis(g)
+    chain = upstream(g, node).scc_chain
     upstream_sccs = tuple(dec.components[c] for c in chain)
-    nontrivial = [c for c in chain if not spectra.trivial[c]]
+    nontrivial = [c for c in chain if not analysis.sccs[c].trivial]
+    empirical = empirical_branching_ratio(walk_counts(g, node, empirical_length))
     if not nontrivial:
-        series = walk_counts(g, node, empirical_length)
-        empirical = empirical_branching_ratio(series)
         return BranchingRatioReport(
             node=node,
             delta=0.0,
@@ -144,22 +230,20 @@ def branching_ratio(
             empirical=empirical,
             agreement=abs(empirical),
         )
-    peak = max(nontrivial, key=lambda c: spectra.rhos[c])
-    delta = spectra.rhos[peak]
+    peak = max(nontrivial, key=analysis.rho)
+    delta = analysis.rho(peak)
     critical = [
         c
         for c in nontrivial
-        if rho_equal(spectra.blocks[c], spectra.rhos[c], spectra.blocks[peak], delta)
+        if c == peak
+        or rho_equal(analysis.sccs[c].block, analysis.rho(c), analysis.sccs[peak].block, delta)
     ]
-    modulus = math.lcm(*(spectra.periods[c] for c in critical))
-    series = walk_counts(g, node, empirical_length)
-    empirical = empirical_branching_ratio(series)
     return BranchingRatioReport(
         node=node,
         delta=delta,
         upstream_sccs=upstream_sccs,
         critical_sccs=tuple(dec.components[c] for c in critical),
-        modulus=modulus,
+        modulus=math.lcm(*(analysis.sccs[c].period for c in critical)),
         method="spectral",
         empirical=empirical,
         agreement=abs(delta - empirical),

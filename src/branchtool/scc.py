@@ -182,6 +182,28 @@ def _restricted_reach(
     return seen
 
 
+def _cycle_gcd(start: int, intra: list[tuple[int, int]]) -> int:
+    """gcd of the cycle lengths of a strongly connected node set holding
+    ``start``, with edges ``intra``: BFS levels from ``start`` turn every
+    edge ``(s, d)`` into the cycle-length witness ``level[s] + 1 - level[d]``.
+    Returns 0 when there is no edge (a trivial SCC)."""
+    forward: dict[int, list[int]] = {}
+    for s, d in intra:
+        forward.setdefault(s, []).append(d)
+    level = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in forward.get(v, ()):
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+    h = 0
+    for s, d in intra:
+        h = gcd(h, abs(level[s] + 1 - level[d]))
+    return h
+
+
 def scc_period(g: MultiGraph, component: Iterable[int]) -> SccPeriod:
     """Period of one SCC: the gcd of its cycle lengths, via BFS level gcd.
 
@@ -197,33 +219,63 @@ def scc_period(g: MultiGraph, component: Iterable[int]) -> SccPeriod:
             raise UnknownNodeError(f"node index {v} out of range")
     members = set(comp)
     intra = [(s, d) for s, d, _ in g.edges if s in members and d in members]
-    if len(comp) == 1:
-        v = comp[0]
-        has_loop = any(s == d == v for s, d in intra)
-        return SccPeriod(component=comp, h=1 if has_loop else 0)
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    for s, d in intra:
-        forward.setdefault(s, []).append(d)
-        backward.setdefault(d, []).append(s)
-    start = comp[0]
-    if (
-        _restricted_reach(start, members, forward) != members
-        or _restricted_reach(start, members, backward) != members
-    ):
-        raise NotStronglyConnectedError(f"nodes {comp} are not strongly connected")
-    level = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in forward.get(v, ()):
-            if w not in level:
-                level[w] = level[v] + 1
-                queue.append(w)
-    h = 0
-    for s, d in intra:
-        h = gcd(h, abs(level[s] + 1 - level[d]))
-    return SccPeriod(component=comp, h=h)
+    if len(comp) > 1:
+        forward: dict[int, list[int]] = {}
+        backward: dict[int, list[int]] = {}
+        for s, d in intra:
+            forward.setdefault(s, []).append(d)
+            backward.setdefault(d, []).append(s)
+        start = comp[0]
+        if (
+            _restricted_reach(start, members, forward) != members
+            or _restricted_reach(start, members, backward) != members
+        ):
+            raise NotStronglyConnectedError(f"nodes {comp} are not strongly connected")
+    return SccPeriod(component=comp, h=_cycle_gcd(comp[0], intra))
+
+
+@dataclass(frozen=True)
+class SccBlock:
+    """One SCC with its adjacency block and period.
+
+    ``block[i][j]`` counts the edges from ``nodes[i]`` to ``nodes[j]``;
+    ``period`` is as in :class:`SccPeriod`, so it is 0 exactly for a trivial
+    SCC (one node without a self-loop).
+    """
+
+    nodes: tuple[int, ...]
+    block: tuple[tuple[int, ...], ...]
+    period: int
+
+    @property
+    def trivial(self) -> bool:
+        return self.period == 0
+
+
+def scc_blocks(g: MultiGraph) -> tuple[SccBlock, ...]:
+    """Block and period of every SCC, indexed like the components of
+    :func:`scc_decompose`, from one pass that buckets the edges by
+    component."""
+    dec = scc_decompose(g)
+    pos = [0] * g.n
+    for comp in dec.components:
+        for i, v in enumerate(comp):
+            pos[v] = i
+    blocks = [[[0] * len(comp) for _ in comp] for comp in dec.components]
+    intra: list[list[tuple[int, int]]] = [[] for _ in dec.components]
+    for src, dst, mult in g.edges:
+        c = dec.component_of[src]
+        if dec.component_of[dst] == c:
+            blocks[c][pos[src]][pos[dst]] = mult
+            intra[c].append((pos[src], pos[dst]))
+    return tuple(
+        SccBlock(
+            nodes=comp,
+            block=tuple(tuple(row) for row in block),
+            period=_cycle_gcd(0, edges),
+        )
+        for comp, block, edges in zip(dec.components, blocks, intra)
+    )
 
 
 def block_triangular_order(u: UpstreamSet) -> tuple[int, ...]:

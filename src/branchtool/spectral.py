@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -44,14 +45,15 @@ def _power_iterate(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray
     estimate, iterations)."""
     n = m.shape[0]
     x = np.full(n, 1.0 / n)
-    lam = 1.0
+    y = x @ m
     for iteration in range(1, max_iter + 1):
-        y = x @ m
         lam = float(y.sum())
         if lam <= 0.0:
             raise NumericalError("power iteration collapsed to zero")
         x = y / lam
-        residual = float(np.max(np.abs(x @ m - lam * x)))
+        # The product for the residual is also the next step's iterate.
+        y = x @ m
+        residual = float(np.max(np.abs(y - lam * x)))
         if residual <= tol * lam:
             return x, lam, iteration
     raise NumericalError(
@@ -157,7 +159,8 @@ def _durand_kerner(
     if degree <= 0:
         return ()
     if degree == 1:
-        return (complex(-coeffs[0]),)
+        # Adding 0.0 turns the root -0.0 of the factor ``lam`` into 0.0.
+        return (complex(-coeffs[0]) + 0.0,)
     rng = random.Random(seed)
     radius = 1.0 + max(abs(c) for c in coeffs[:-1])
     roots = [
@@ -218,16 +221,20 @@ class SpectrumEstimate:
 def spectrum_small(block: Block, seed: int = 0, max_size: int = 16) -> SpectrumEstimate:
     """Eigenvalues of a block of size <= ``max_size``.
 
-    The exact integer characteristic polynomial is computed first; its roots
-    are then found by simultaneous iteration.  Eigenvalues are sorted by
+    The exact integer characteristic polynomial is computed first and split
+    into square-free factors; their roots are then found by simultaneous
+    iteration.  Eigenvalues are sorted by
     (-modulus, phase) so the peripheral ones come first, deterministically.
     """
     n = len(block)
     if n > max_size:
         raise ValueError(f"block size {n} exceeds the supported bound {max_size}")
     coeffs = char_poly(block)
-    monic = [float(c) for c in coeffs]
-    roots = _durand_kerner(monic, seed=seed)
+    # Simultaneous iteration stalls on a repeated root, so it runs on the
+    # square-free factors and each root is repeated by its multiplicity.
+    roots: list[complex] = []
+    for factor, multiplicity in square_free_factors(coeffs):
+        roots.extend(_durand_kerner([float(c) for c in factor], seed=seed) * multiplicity)
     ordered = tuple(sorted(roots, key=lambda z: (-abs(z), cmath.phase(z), z.real)))
     return SpectrumEstimate(eigenvalues=ordered, char_coefficients=coeffs)
 
@@ -335,6 +342,77 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(c / lead for c in fa)
 
 
+def _derivative(p: Sequence[Fraction]) -> list[Fraction]:
+    return _trimmed([k * c for k, c in enumerate(p)][1:] or [Fraction(0)])
+
+
+def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    return _trimmed([x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0))])
+
+
+def _poly_div_exact(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
+    """Quotient of ``num`` by a divisor ``den`` with a non-zero leading
+    coefficient; the remainder must be zero."""
+    rem = list(num)
+    quotient = [Fraction(0)] * max(1, len(rem) - len(den) + 1)
+    for shift in range(len(rem) - len(den), -1, -1):
+        factor = rem[shift + len(den) - 1] / den[-1]
+        quotient[shift] = factor
+        for i, c in enumerate(den):
+            rem[shift + i] -= factor * c
+    assert not any(rem), "exact polynomial division left a remainder"
+    return _trimmed(quotient)
+
+
+def square_free_factors(coeffs: Sequence[int]) -> list[tuple[tuple[Fraction, ...], int]]:
+    """Yun's square-free decomposition of a monic integer polynomial.
+
+    Returns ``(f_k, k)`` pairs, coefficients ascending, with every ``f_k``
+    monic, square-free and of positive degree, pairwise coprime, and
+    ``p = prod f_k**k``.  Exact over the rationals.
+    """
+    p = _trimmed([Fraction(c) for c in coeffs])
+    if p[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    dp = _derivative(p)
+    common = list(poly_gcd(p, dp))
+    rest = _poly_div_exact(p, common)
+    slope = _poly_sub(_poly_div_exact(dp, common), _derivative(rest))
+    factors: list[tuple[tuple[Fraction, ...], int]] = []
+    k = 1
+    while len(rest) > 1:
+        factor = list(poly_gcd(rest, slope))
+        if len(factor) > 1:
+            factors.append((tuple(factor), k))
+        rest = _poly_div_exact(rest, factor)
+        slope = _poly_sub(_poly_div_exact(slope, factor), _derivative(rest))
+        k += 1
+    return factors
+
+
+def rho_close(rho_a: float, rho_b: float, rel_tol: float = 1e-9) -> bool:
+    """The float screen of :func:`rho_equal`: ``rho_a`` and ``rho_b`` agree
+    to ``rel_tol`` relative to ``max(1, |rho_a|, |rho_b|)``."""
+    return abs(rho_a - rho_b) <= rel_tol * max(1.0, abs(rho_a), abs(rho_b))
+
+
+def common_root_near(poly_a: Sequence[int], poly_b: Sequence[int], rho: float) -> bool:
+    """The exact half of :func:`rho_equal`: the integer polynomials share a
+    common factor (rational gcd) that vanishes at ``rho``."""
+    common = poly_gcd(poly_a, poly_b)
+    if len(common) < 2:
+        return False
+    value = 0.0
+    for c in reversed(common):
+        value = value * rho + float(c)
+    scale = 0.0
+    power = 1.0
+    for c in common:
+        scale += abs(float(c)) * power
+        power *= max(1.0, rho)
+    return abs(value) <= 1e-6 * max(1.0, scale)
+
+
 def rho_equal(
     block_a: Block,
     rho_a: float,
@@ -348,18 +426,6 @@ def rho_equal(
     confirmed exactly by requiring the integer characteristic polynomials to
     share a common factor (rational gcd) with a root at the common value.
     """
-    if abs(rho_a - rho_b) > rel_tol * max(1.0, abs(rho_a), abs(rho_b)):
+    if not rho_close(rho_a, rho_b, rel_tol):
         return False
-    common = poly_gcd(char_poly(block_a), char_poly(block_b))
-    if len(common) < 2:
-        return False
-    rho = 0.5 * (rho_a + rho_b)
-    value = 0.0
-    for c in reversed(common):
-        value = value * rho + float(c)
-    scale = 0.0
-    power = 1.0
-    for c in common:
-        scale += abs(float(c)) * power
-        power *= max(1.0, rho)
-    return abs(value) <= 1e-6 * max(1.0, scale)
+    return common_root_near(char_poly(block_a), char_poly(block_b), 0.5 * (rho_a + rho_b))

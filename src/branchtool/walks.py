@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from branchtool.graph import MultiGraph, UnknownNodeError
 
@@ -52,41 +52,60 @@ class WalkCountSeries:
         return len(self.counts) - 1
 
 
-def walk_counts(g: MultiGraph, node: int, length: int) -> WalkCountSeries:
-    """Exact ``a_node(ell)`` for ``ell = 0..length``.
+def walk_count_sweep(
+    g: MultiGraph, nodes: Iterable[int], length: int
+) -> list[WalkCountSeries]:
+    """Exact ``a_v(ell)`` for ``ell = 0..length`` and every ``v`` in ``nodes``,
+    in the order given, from one vector sweep.
 
-    Computed by iterated row-vector times matrix products in arbitrary
-    precision; the matrix power is never formed.
+    The all-ones row vector is pushed through the edges ``length`` times in
+    arbitrary precision; the matrix power is never formed.  Only edges into
+    the upstream closure of ``nodes`` are swept, since no other edge reaches
+    their counts, and count rows are kept only for ``nodes``.
     """
-    if not 0 <= node < g.n:
-        raise UnknownNodeError(f"node index {node} out of range")
+    nodes = list(nodes)
+    for node in nodes:
+        if not 0 <= node < g.n:
+            raise UnknownNodeError(f"node index {node} out of range")
     if length < 0:
         raise ValueError("length must be non-negative")
-    vec = [1] * g.n
-    counts = [vec[node]]
+    inside = [False] * g.n
+    for node in nodes:
+        inside[node] = True
+    stack = list(nodes)
+    while stack:
+        for src, _ in g.predecessors[stack.pop()]:
+            if not inside[src]:
+                inside[src] = True
+                stack.append(src)
+    pos = [-1] * g.n
+    size = 0
+    for v in range(g.n):
+        if inside[v]:
+            pos[v] = size
+            size += 1
+    edges = [(pos[src], pos[dst], mult) for src, dst, mult in g.edges if inside[dst]]
+    picks = [pos[node] for node in nodes]
+    vec = [1] * size
+    rows: list[list[int]] = [[1] for _ in nodes]
     for _ in range(length):
-        nxt = [0] * g.n
-        for src, dst, mult in g.edges:
+        nxt = [0] * size
+        for src, dst, mult in edges:
             nxt[dst] += vec[src] * mult
         vec = nxt
-        counts.append(vec[node])
-    return WalkCountSeries(node=node, counts=tuple(counts))
+        for row, p in zip(rows, picks):
+            row.append(vec[p])
+    return [WalkCountSeries(node=v, counts=tuple(row)) for v, row in zip(nodes, rows)]
+
+
+def walk_counts(g: MultiGraph, node: int, length: int) -> WalkCountSeries:
+    """Exact ``a_node(ell)`` for ``ell = 0..length``."""
+    return walk_count_sweep(g, [node], length)[0]
 
 
 def all_walk_counts(g: MultiGraph, length: int) -> list[WalkCountSeries]:
     """Walk-count series for every node in one vector sweep."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    vec = [1] * g.n
-    table = [[1] for _ in range(g.n)]
-    for _ in range(length):
-        nxt = [0] * g.n
-        for src, dst, mult in g.edges:
-            nxt[dst] += vec[src] * mult
-        vec = nxt
-        for i in range(g.n):
-            table[i].append(vec[i])
-    return [WalkCountSeries(node=i, counts=tuple(row)) for i, row in enumerate(table)]
+    return walk_count_sweep(g, range(g.n), length)
 
 
 def brute_force_walk_count(

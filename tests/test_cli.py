@@ -306,6 +306,27 @@ def test_unreachable_tolerance_exits_3(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+def test_analyze_uses_tolerance(capsys, tmp_path):
+    # The Perron data behind delta are computed at --tol, as for spectrum:
+    # an unreachable tolerance on a two-node SCC is a numerical failure.
+    path = write_graph(tmp_path, FIBONACCI_CIRCUIT)
+    code, out, err = run_cli(capsys, ["analyze", "--graph", path, "--tol", "1e-30"])
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_spectrum_triple_eigenvalue(capsys, tmp_path):
+    # Complete digraph on four nodes: eigenvalues 3, -1, -1, -1.
+    text = "".join(f"k{i} k{j}\n" for i in range(4) for j in range(4) if i != j)
+    doc = run_json(capsys, tmp_path, text, ["spectrum"])
+    (scc,) = doc["sccs"]
+    assert scc["rho"] == pytest.approx(3.0, rel=1e-12)
+    assert [(z["re"], z["im"]) for z in scc["eigenvalues"]] == [
+        (3.0, 0.0), (-1.0, 0.0), (-1.0, 0.0), (-1.0, 0.0)
+    ]
+
+
 def test_json_reruns_are_byte_identical(capsys, tmp_path):
     path = write_graph(tmp_path, SIX_NODE_PERIOD3)
     outputs = []

@@ -18,7 +18,7 @@ from branchtool import (
     spectrum_small,
 )
 from branchtool.examples import simple_cycle
-from branchtool.spectral import poly_gcd
+from branchtool.spectral import poly_gcd, square_free_factors
 
 import oracles
 
@@ -173,6 +173,85 @@ def test_upstream_spectrum_is_product_of_block_spectra():
                 block = adjacency_matrix(induced_subgraph(u.subgraph, comp))
                 product = _poly_mul(product, list(char_poly(block)))
             assert tuple(product) == char_poly(adjacency_matrix(u.subgraph))
+
+
+# Characteristic polynomials (ascending) of three SCC blocks from seeded
+# DAG-of-SCC graphs; each has the triple root -1, and the first also a
+# triple root 0.
+REPEATED_ROOT_POLYS = [
+    (0, 0, 0, 2, 4, 1, -4, -7, -5, 0, 1),
+    (-2, -4, 2, 8, 4, -1, -4, -4, 0, 1),
+    (1, 5, 7, 0, -5, -2, -3, -4, 0, 1),
+]
+
+
+def _companion(coeffs):
+    """Integer companion matrix whose characteristic polynomial is the monic
+    ``coeffs`` (ascending)."""
+    n = len(coeffs) - 1
+    block = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        block[i][i - 1] = 1
+    for i in range(n):
+        block[i][n - 1] = -coeffs[i]
+    return block
+
+
+def _exact_roots(coeffs):
+    """Roots with multiplicity from sympy's exact real/complex root isolation."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    return [complex(r.evalf(30)) for r in poly.all_roots()]
+
+
+def _same_multiset(got, want, tol):
+    remaining = list(want)
+    for z in got:
+        k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - z))
+        assert abs(remaining[k] - z) <= tol, (z, remaining[k])
+        remaining.pop(k)
+    assert not remaining
+
+
+@pytest.mark.parametrize("coeffs", REPEATED_ROOT_POLYS)
+def test_square_free_factors_match_sympy(coeffs):
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, expected = sympy.sqf_list(sympy.Poly(list(reversed(coeffs)), x))
+    want = {k: tuple(reversed(f.monic().all_coeffs())) for f, k in expected}
+    got = dict((k, f) for f, k in square_free_factors(coeffs))
+    assert got == want
+    assert got[3] in ((1, 1), (0, 1, 1))  # (x + 1)**3, times x**3 in the first
+
+
+@pytest.mark.parametrize("coeffs", REPEATED_ROOT_POLYS)
+def test_spectrum_repeated_roots_match_sympy(coeffs):
+    est = spectrum_small(_companion(coeffs))
+    assert est.char_coefficients == coeffs
+    _same_multiset(est.eigenvalues, _exact_roots(coeffs), 1e-9)
+
+
+def test_spectrum_complete_digraph_triple_root():
+    # The complete digraph on four nodes: eigenvalues 3, -1, -1, -1.
+    block = [[int(i != j) for j in range(4)] for i in range(4)]
+    est = spectrum_small(block)
+    assert est.eigenvalues == (3 + 0j, -1 + 0j, -1 + 0j, -1 + 0j)
+
+
+def test_spectrum_doubled_blocks_match_numpy():
+    import random
+
+    rng = random.Random(48)
+    for _ in range(25):
+        b = oracles.random_irreducible_block(rng, max_nodes=5)
+        n = len(b)
+        doubled = [row + [0] * n for row in b] + [[0] * n + row for row in b]
+        est = spectrum_small(doubled)
+        ref = np.linalg.eigvals(np.array(b, dtype=float))
+        _same_multiset(est.eigenvalues, list(ref) * 2, 1e-7)
 
 
 def test_spectrum_deterministic(six):
