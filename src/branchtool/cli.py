@@ -342,11 +342,13 @@ def cmd_spectrum(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> s
             "period": scc.period,
         }
         if scc.trivial:
-            entry.update({"rho": 0.0, "eigenvalues": [{"im": 0.0, "re": 0.0}],
+            entry.update({"rho": 0.0, "rho_bracket": None,
+                          "eigenvalues": [{"im": 0.0, "re": 0.0}],
                           "cesaro_residual": None})
         else:
             pd = analysis.perron(c)
             entry["rho"] = pd.rho
+            entry["rho_bracket"] = [pd.lower, pd.upper]
             if len(scc.nodes) <= SPECTRUM_BLOCK_LIMIT:
                 est = spectrum_small(scc.block, seed=args.seed)
                 entry["eigenvalues"] = [
@@ -373,6 +375,9 @@ def cmd_spectrum(args: argparse.Namespace, g: MultiGraph, nodes: list[int]) -> s
             f"scc {{{names}}}: rho {_fmt(entry['rho'])} period {entry['period']}"
             + (" (trivial)" if entry["trivial"] else "")
         )
+        if entry["rho_bracket"] is not None:
+            lower, upper = entry["rho_bracket"]
+            lines.append(f"  rho bracket: [{lower!r}, {upper!r}]")
         if entry["eigenvalues"] is not None:
             eigs = "  ".join(
                 f"{z['re']:.9g}{z['im']:+.9g}j" for z in entry["eigenvalues"]

@@ -27,9 +27,12 @@ class PerronData:
 
     ``rho`` is the Perron eigenvalue; ``v`` (left, row) and ``w`` (right,
     column) are the strictly positive eigenvectors normalized so that
-    ``sum(v) = 1`` and ``v @ w = 1``.  For a trivial acyclic singleton block
-    ``rho = 0`` and the vectors are empty.  ``residual`` is the final
-    infinity-norm of ``v @ B - rho * v``.
+    ``sum(v) = 1`` and ``v @ w = 1``.  ``lower <= rho <= upper`` is a
+    Collatz-Wielandt bracket, rounded outward, that contains the exact Perron
+    root of a block whose entries are below 2**53 (so that binary64 holds
+    them exactly).  For a trivial acyclic singleton block ``rho = 0`` and the vectors
+    are empty; a 1x1 block is its own exact root.  ``iterations`` counts the
+    linear solves; ``residual`` is the infinity-norm of ``v @ B - rho * v``.
     """
 
     rho: float
@@ -38,41 +41,102 @@ class PerronData:
     normalized: bool
     iterations: int
     residual: float
+    lower: float
+    upper: float
 
 
-def _power_iterate(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    """Left power iteration on a non-negative matrix; returns (vector, eigenvalue
-    estimate, iterations)."""
+# Unit roundoff and smallest normal number of IEEE binary64.
+_UNIT = 2.0**-53
+_TINY = float(np.finfo(float).tiny)
+# Noda steps whose bracket is no narrower than the best so far before the
+# tolerance is declared out of reach.
+_STALL_STEPS = 3
+
+
+def _strongly_connected(b: np.ndarray) -> bool:
+    """Whether the non-zero pattern of ``b`` is strongly connected: every
+    node reaches node 0 and is reached from it."""
+    n = b.shape[0]
+    for pattern in (b, b.T):
+        succ = [np.flatnonzero(row) for row in pattern]
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for t in succ[stack.pop()]:
+                if not seen[t]:
+                    seen[t] = True
+                    stack.append(t)
+        if not seen.all():
+            return False
+    return True
+
+
+def _collatz_wielandt(x: np.ndarray, m: np.ndarray, terms: int) -> tuple[float, float]:
+    """``[min (x m)_i / x_i, max (x m)_i / x_i]``, computed in floats and
+    widened so that it contains the ratios of the exact product.
+
+    Every ``(x m)_i`` is a sum of at most ``terms`` non-negative products of
+    normal floats and integers, so its float value is within
+    ``gamma(terms) = terms * u / (1 - terms * u)`` of the exact one; the
+    division adds one rounding.  The widening covers both, and the rounding
+    of the widening itself.
+    """
+    ratios = (x @ m) / x
+    slack = 3.0 * (terms + 3) * _UNIT
+    lower = float(np.nextafter(float(ratios.min()) * (1.0 - slack), 0.0))
+    upper = float(np.nextafter(float(ratios.max()) * (1.0 + slack), math.inf))
+    return lower, upper
+
+
+def _noda(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, float, int]:
+    """Noda iteration for the left Perron vector of ``m`` (``x m = rho x``):
+    the vector, normalized to sum 1, its certified bracket and the number of
+    linear solves."""
     n = m.shape[0]
+    terms = int((m != 0.0).sum(axis=0).max())
+    shifted = -m.T
     x = np.full(n, 1.0 / n)
-    y = x @ m
-    for iteration in range(1, max_iter + 1):
-        lam = float(y.sum())
-        if lam <= 0.0:
-            raise NumericalError("power iteration collapsed to zero")
-        x = y / lam
-        # The product for the residual is also the next step's iterate.
-        y = x @ m
-        residual = float(np.max(np.abs(y - lam * x)))
-        if residual <= tol * lam:
-            return x, lam, iteration
+    best = math.inf
+    since_best = 0
+    for solves in range(max_iter + 1):
+        lower, upper = _collatz_wielandt(x, m, terms)
+        width = upper - lower
+        if width <= tol * upper:
+            return x, lower, upper, solves
+        if width < best:
+            best, since_best = width, 0
+        else:
+            since_best += 1
+            if since_best >= _STALL_STEPS:
+                break
+        # Solve z (sigma I - m) = x with sigma = upper > rho.
+        z = np.linalg.solve(shifted + upper * np.eye(n), x)
+        x = z / z.sum()
+        if not float(x.min()) >= _TINY:
+            raise NumericalError("Perron iterate lost positivity")
     raise NumericalError(
-        f"power iteration did not reach tolerance {tol} in {max_iter} steps "
-        "(was the block really irreducible?)"
+        f"Perron bracket stalled at relative width {width / upper:.3g}, "
+        f"above the tolerance {tol}"
     )
 
 
-def perron(
-    block: Block,
-    irreducible: bool = True,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> PerronData:
+def perron(block: Block, tol: float = 1e-12, max_iter: int = 200) -> PerronData:
     """Perron eigenvalue and eigenvectors of one SCC adjacency block.
 
-    The iteration runs on ``B + I``: the shift makes the block primitive, so
-    the power method converges even for periodic blocks, and ``rho(B) =
-    rho(B + I) - 1`` because the shift moves every eigenvalue by one.
+    Noda iteration (Numer. Math. 17, 1971): from a positive vector ``x``,
+    the shift ``sigma`` is the upper Collatz-Wielandt bound
+    ``max (x B)_i / x_i``, which is at least the Perron root, and the next
+    iterate solves ``z (sigma I - B) = x``.  For irreducible ``B`` the
+    inverse ``(sigma I - B)^-1`` is positive, so every iterate stays
+    positive, and the bracket ``[min (x B)_i / x_i, max (x B)_i / x_i]``
+    closes quadratically (Elsner 1976), for periodic blocks too.  The left
+    and right vectors each iterate until their own bracket has relative
+    width ``tol``; the reported bracket is the intersection of the two.
+
+    Raises :class:`NumericalError` when the block is not irreducible, when
+    an iterate loses positivity, and when the bracket stops narrowing before
+    it reaches ``tol`` (or after ``max_iter`` solves per vector).
     """
     n = len(block)
     if n == 0:
@@ -80,23 +144,18 @@ def perron(
     if any(len(row) != n for row in block):
         raise ValueError("block must be square")
     if n == 1:
-        m = int(block[0][0])
-        if m == 0:
-            return PerronData(0.0, (), (), True, 0, 0.0)
-        return PerronData(float(m), (1.0,), (1.0,), True, 0, 0.0)
-    if not irreducible:
-        raise ValueError("a non-irreducible block must be a trivial singleton")
+        m = float(block[0][0])
+        if m == 0.0:
+            return PerronData(0.0, (), (), True, 0, 0.0, 0.0, 0.0)
+        return PerronData(m, (1.0,), (1.0,), True, 0, 0.0, m, m)
     b = np.array(block, dtype=float)
-    shifted = b + np.eye(n)
-    v, _, iter_left = _power_iterate(shifted, tol, max_iter)
-    w, _, iter_right = _power_iterate(shifted.T, tol, max_iter)
-    # Two-sided Rayleigh quotient: with both vectors converged to residual r,
-    # the eigenvalue estimate error is O(r**2), i.e. float-precision here.
-    lam = float(v @ shifted @ w) / float(v @ w)
-    rho = lam - 1.0
-    if float(v.min()) <= 0.0 or float(w.min()) <= 0.0:
-        raise NumericalError("eigenvector has non-positive entries; block not irreducible")
-    v = v / v.sum()
+    if not _strongly_connected(b):
+        raise NumericalError("block is not irreducible")
+    v, lower_v, upper_v, solves_v = _noda(b, tol, max_iter)
+    w, lower_w, upper_w, solves_w = _noda(b.T, tol, max_iter)
+    lower, upper = max(lower_v, lower_w), min(upper_v, upper_w)
+    # Two-sided Rayleigh quotient, kept inside the certified bracket.
+    rho = min(max(float(v @ b @ w) / float(v @ w), lower), upper)
     w = w / float(v @ w)
     residual = float(np.max(np.abs(v @ b - rho * v)))
     return PerronData(
@@ -104,8 +163,10 @@ def perron(
         v=tuple(float(x) for x in v),
         w=tuple(float(x) for x in w),
         normalized=True,
-        iterations=iter_left + iter_right,
+        iterations=solves_v + solves_w,
         residual=residual,
+        lower=lower,
+        upper=upper,
     )
 
 
@@ -223,8 +284,10 @@ def spectrum_small(block: Block, seed: int = 0, max_size: int = 16) -> SpectrumE
 
     The exact integer characteristic polynomial is computed first and split
     into square-free factors; their roots are then found by simultaneous
-    iteration.  Eigenvalues are sorted by
-    (-modulus, phase) so the peripheral ones come first, deterministically.
+    iteration.  Eigenvalues are sorted by modulus, largest first, with
+    moduli that agree to a relative 1e-9 counted as equal, then by argument
+    in ``[0, 2*pi)``: the peripheral ones come first, led by the Perron root,
+    whatever the rounding noise in the roots.
     """
     n = len(block)
     if n > max_size:
@@ -235,28 +298,55 @@ def spectrum_small(block: Block, seed: int = 0, max_size: int = 16) -> SpectrumE
     roots: list[complex] = []
     for factor, multiplicity in square_free_factors(coeffs):
         roots.extend(_durand_kerner([float(c) for c in factor], seed=seed) * multiplicity)
-    ordered = tuple(sorted(roots, key=lambda z: (-abs(z), cmath.phase(z), z.real)))
-    return SpectrumEstimate(eigenvalues=ordered, char_coefficients=coeffs)
+    return SpectrumEstimate(eigenvalues=_spectral_order(roots), char_coefficients=coeffs)
+
+
+def _argument(z: complex) -> float:
+    """The argument of ``z`` in ``[0, 2*pi)``; within 1e-9 below ``2*pi`` it
+    is noise around the positive real axis and counts as 0."""
+    angle = cmath.phase(z) % (2.0 * math.pi)
+    return 0.0 if angle >= 2.0 * math.pi - 1e-9 else angle
+
+
+def _spectral_order(roots: Sequence[complex]) -> tuple[complex, ...]:
+    """``roots`` in groups of equal modulus (relative 1e-9), largest first,
+    each group in order of argument."""
+    ordered: list[complex] = []
+    group: list[complex] = []
+    for z in sorted(roots, key=abs, reverse=True):
+        if group and abs(group[0]) - abs(z) > 1e-9 * abs(group[0]):
+            ordered.extend(sorted(group, key=_argument))
+            group = []
+        group.append(z)
+    ordered.extend(sorted(group, key=_argument))
+    return tuple(ordered)
 
 
 def cesaro_average(block: Block, pd: PerronData, k: int) -> np.ndarray:
     """``(1/k) * sum_{ell=0..k} rho**(-ell) B**ell`` as a float matrix.
 
     Converges (at rate O(1/k)) to the spectral projector ``outer(w, v)``
-    regardless of the block's period.
+    regardless of the block's period.  The sum is built by binary doubling:
+    with ``P = B / rho`` and ``S_m = sum_{ell<m} P**ell``, ``S_{2m} = S_m +
+    P**m S_m`` and ``S_{m+1} = S_m + P**m``, so about ``2 log2(k)`` matrix
+    products replace ``k``.
     """
     if pd.rho <= 0.0:
         raise ValueError("Cesaro average requires a positive Perron eigenvalue")
     if k < 1:
         raise ValueError("k must be at least 1")
-    b = np.array(block, dtype=float)
-    n = b.shape[0]
-    term = np.eye(n)
-    acc = np.eye(n)
-    for _ in range(k):
-        term = term @ b / pd.rho
-        acc += term
-    return acc / k
+    p = np.array(block, dtype=float) / pd.rho
+    n = p.shape[0]
+    total = np.eye(n)  # S_m, from m = 1
+    power = p  # P**m
+    # The bits of k + 1, the number of terms, after the leading one.
+    for bit in bin(k + 1)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = power @ p
+    return total / k
 
 
 def perron_projection(pd: PerronData) -> np.ndarray:

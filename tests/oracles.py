@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities by routes independent of the library
 internals: exact integer matrix powers for walk counts and reachability,
-DFS enumeration of simple cycle lengths for periods, and numpy eigensolves
-for spectra.  Tests compare library output against these, never the other
-way around.
+DFS enumeration of simple cycle lengths for periods, numpy eigensolves for
+spectra, and sympy's exact characteristic polynomials with Sturm counts for
+Perron brackets.  Tests compare library output against these, never the
+other way around.
 """
 
 from __future__ import annotations
@@ -174,3 +175,27 @@ def random_irreducible_block(rng: random.Random, max_nodes: int = 5) -> list[lis
     for _ in range(rng.randint(0, n)):
         block[rng.randrange(n)][rng.randrange(n)] += rng.randint(1, 2)
     return block
+
+
+def perron_root_within(block: list[list[int]], lower: float, upper: float) -> bool:
+    """Whether the exact Perron root of the irreducible integer ``block`` lies
+    in ``[lower, upper]``, with both floats read as the exact rationals they
+    are.
+
+    The Perron root is the largest real root of the characteristic
+    polynomial, here sympy's (exact over the integers).  Sturm counts over
+    the rationals (sympy's ``count_roots``) decide both comparisons exactly:
+    some real root is at least ``lower``, and none is above ``upper``.
+    """
+    from fractions import Fraction
+
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(block)
+    matrix = DomainMatrix([[sympy.ZZ(x) for x in row] for row in block], (n, n), sympy.ZZ)
+    poly = sympy.Poly([int(c) for c in matrix.charpoly()], sympy.Symbol("x"))
+    lo = sympy.Rational(*Fraction(lower).as_integer_ratio())
+    hi = sympy.Rational(*Fraction(upper).as_integer_ratio())
+    above_hi = poly.count_roots(hi, None) - (1 if poly.eval(hi) == 0 else 0)
+    return poly.count_roots(lo, None) >= 1 and above_hi == 0

@@ -16,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -28,7 +29,9 @@ from branchtool.examples import (
     LINKED_FOUR_CYCLES,
     SIX_NODE_PERIOD3,
     THREE_NODE_CASCADE,
+    polycycle,
 )
+from branchtool.graph import serialize_edge_list
 
 from oracles import PHI
 
@@ -325,6 +328,30 @@ def test_spectrum_triple_eigenvalue(capsys, tmp_path):
     assert [(z["re"], z["im"]) for z in scc["eigenvalues"]] == [
         (3.0, 0.0), (-1.0, 0.0), (-1.0, 0.0), (-1.0, 0.0)
     ]
+
+
+def test_spectrum_polycycle_300_certified(capsys, tmp_path):
+    # polycycle(2,1,...,1) at n=300: every eigenvalue has modulus 2**(1/300).
+    text = serialize_edge_list(polycycle((2,) + (1,) * 299))
+    doc = run_json(capsys, tmp_path, text, ["spectrum"])
+    (scc,) = doc["sccs"]
+    lower, upper = scc["rho_bracket"]
+    assert lower <= 2 ** (1 / 300) <= upper
+    assert Fraction(lower) ** 300 <= 2 <= Fraction(upper) ** 300
+    assert lower <= scc["rho"] <= upper
+    assert scc["eigenvalues"] is None
+    assert scc["cesaro_residual"] is not None
+
+
+def test_spectrum_reports_bracket_for_nontrivial_sccs_only(capsys, tmp_path):
+    doc = run_json(capsys, tmp_path, THREE_NODE_CASCADE, ["spectrum"])
+    assert [s["rho_bracket"] for s in doc["sccs"]] == [None, [2.0, 2.0], [1.0, 1.0]]
+    path = write_graph(tmp_path, FIBONACCI_CIRCUIT)
+    code, out, err = run_cli(capsys, ["spectrum", "--graph", path])
+    assert code == 0
+    header, bracket = out.splitlines()[:2]
+    assert header == "scc {1 2}: rho 1.61803398875 period 1"
+    assert bracket.startswith("  rho bracket: [1.6180339887")
 
 
 def test_json_reruns_are_byte_identical(capsys, tmp_path):

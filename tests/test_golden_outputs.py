@@ -5,6 +5,9 @@ each parametric family) is run through every subcommand in every output
 format it supports, and stdout is compared with the file stored under
 ``tests/golden/``.  The graph is written to ``<fixture>.edges`` in the
 current directory, so the ``path`` echoed in reports is the same everywhere.
+The Perron brackets stored in the spectrum reports are checked on their own
+against the exact Perron roots, so new bytes there carry an independent
+check.
 
 To regenerate the files after an intended output change:
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -34,7 +38,9 @@ from branchtool.examples import (
     polycycle,
     simple_cycle,
 )
-from branchtool.graph import serialize_edge_list
+from branchtool.graph import adjacency_matrix, induced_subgraph, parse_edge_list, serialize_edge_list
+
+import oracles
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -92,6 +98,22 @@ def test_output_matches_golden_file(name, command, fmt, extra, tmp_path, monkeyp
     code, out = run(name, command, fmt, extra)
     assert code == 0
     assert out.encode("utf-8") == golden_path(name, command, fmt).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_golden_brackets_contain_exact_perron_roots(name):
+    """Every non-trivial SCC's ``rho_bracket`` in the stored spectrum report
+    contains the exact Perron root of its block (sympy, see ``oracles``)."""
+    g = parse_edge_list(FIXTURES[name])
+    doc = json.loads(golden_path(name, "spectrum", "json").read_text(encoding="utf-8"))
+    for scc in doc["sccs"]:
+        if scc["trivial"]:
+            assert scc["rho_bracket"] is None
+            continue
+        block = adjacency_matrix(induced_subgraph(g, [g.index_of(v) for v in scc["nodes"]]))
+        lower, upper = scc["rho_bracket"]
+        assert lower <= scc["rho"] <= upper
+        assert oracles.perron_root_within(block, lower, upper), scc["nodes"]
 
 
 def regenerate() -> None:

@@ -1,8 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchtool import (
     NumericalError,
@@ -17,7 +20,7 @@ from branchtool import (
     scc_decompose,
     spectrum_small,
 )
-from branchtool.examples import simple_cycle
+from branchtool.examples import polycycle, simple_cycle
 from branchtool.spectral import poly_gcd, square_free_factors
 
 import oracles
@@ -58,6 +61,7 @@ def test_perron_left_right_orientation():
 def test_perron_scalar_blocks():
     pd = perron([[5]])
     assert (pd.rho, pd.v, pd.w) == (5.0, (1.0,), (1.0,))
+    assert (pd.lower, pd.upper) == (5.0, 5.0)
     trivial = perron([[0]])
     assert (trivial.rho, trivial.v, trivial.w) == (0.0, (), ())
 
@@ -80,9 +84,107 @@ def test_perron_rejects_reducible_block():
         perron([[1, 1], [0, 1]], max_iter=3000)
 
 
+@pytest.mark.parametrize("n", [90, 300, 1000])
+def test_perron_polycycle_two_ones(n):
+    # polycycle(2,1,...,1): every eigenvalue has modulus 2**(1/n), so the
+    # spectral gap is zero; the exact root is the real n-th root of 2.
+    pd = perron(adjacency_matrix(polycycle((2,) + (1,) * (n - 1))))
+    assert Fraction(pd.lower) ** n <= 2 <= Fraction(pd.upper) ** n
+    assert pd.lower <= pd.rho <= pd.upper
+    assert pd.upper - pd.lower <= 1e-12 * pd.upper
+    assert abs(pd.rho - 2 ** (1 / n)) <= 1e-15
+    assert pd.iterations <= 40
+
+
 def test_perron_rejects_non_square():
     with pytest.raises(ValueError):
         perron([[0, 1]])
+
+
+@st.composite
+def chorded_cycles(draw):
+    """A weighted n-cycle plus random chords and self-loops."""
+    n = draw(st.integers(2, 8))
+    block = [[0] * n for _ in range(n)]
+    for v in range(n):
+        block[v][(v + 1) % n] = draw(st.integers(1, 3))
+    node = st.integers(0, n - 1)
+    for i, j, m in draw(st.lists(st.tuples(node, node, st.integers(1, 3)), max_size=2 * n)):
+        block[i][j] += m
+    return block
+
+
+@st.composite
+def weighted_cycles(draw):
+    """Weighted cycles up to 40 nodes, polycycle(2,1,...,1) among them:
+    periodic, with the whole spectrum on one circle."""
+    n = draw(st.integers(2, 40))
+    weights = draw(
+        st.one_of(
+            st.just((2,) + (1,) * (n - 1)),
+            st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple),
+        )
+    )
+    return adjacency_matrix(polycycle(weights))
+
+
+@st.composite
+def bipartite_blocks(draw):
+    """``[[0, X], [Y, 0]]`` with ``X`` positive and every row and column of
+    ``Y`` non-zero: strongly connected, period 2."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = [[draw(st.integers(1, 3)) for _ in range(q)] for _ in range(p)]
+    y = [[draw(st.integers(0, 2)) for _ in range(p)] for _ in range(q)]
+    for j in range(q):
+        y[j][j % p] += 1
+    for a in range(p):
+        y[a % q][a] += 1
+    return [[0] * p + row for row in x] + [row + [0] * q for row in y]
+
+
+IRREDUCIBLE_BLOCKS = st.one_of(chorded_cycles(), weighted_cycles(), bipartite_blocks())
+
+
+@settings(max_examples=80, deadline=None)
+@given(IRREDUCIBLE_BLOCKS)
+def test_perron_bracket_contains_exact_root(block):
+    pd = perron(block)
+    assert pd.lower <= pd.rho <= pd.upper
+    assert pd.upper - pd.lower <= 1e-12 * pd.upper
+    assert oracles.perron_root_within(block, pd.lower, pd.upper)
+
+
+@settings(max_examples=80, deadline=None)
+@given(IRREDUCIBLE_BLOCKS)
+def test_perron_matches_numpy_with_normalized_positive_vectors(block):
+    pd = perron(block)
+    top = max(abs(z) for z in np.linalg.eigvals(np.array(block, dtype=float)))
+    assert abs(pd.rho - top) <= 1e-12 * max(1.0, top)
+    v, w = np.array(pd.v), np.array(pd.w)
+    assert v.min() > 0.0 and w.min() > 0.0
+    assert abs(v.sum() - 1.0) <= 1e-12
+    assert abs(v @ w - 1.0) <= 1e-12
+
+
+def _cesaro_term_by_term(block, rho, k):
+    """The reference sum ``(1/k) * sum_{ell=0..k} (B/rho)**ell``, one power
+    at a time."""
+    b = np.array(block, dtype=float)
+    term = np.eye(len(block))
+    acc = np.eye(len(block))
+    for _ in range(k):
+        term = term @ b / rho
+        acc += term
+    return acc / k
+
+
+@settings(max_examples=80, deadline=None)
+@given(IRREDUCIBLE_BLOCKS, st.integers(1, 300))
+def test_cesaro_doubling_matches_term_by_term(block, k):
+    pd = perron(block)
+    ref = _cesaro_term_by_term(block, pd.rho, k)
+    got = cesaro_average(block, pd, k)
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_perron_matches_numpy_on_corpus_blocks():
@@ -135,6 +237,15 @@ def test_spectrum_cycle_roots_of_unity(n):
         for k in range(n)
     )
     assert got == expected
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 16])
+def test_spectrum_cycle_order_starts_at_perron_root(n):
+    # Equal moduli, so the order is by argument in [0, 2*pi): the k-th
+    # eigenvalue is exp(2*pi*i*k/n), the Perron root 1 first.
+    est = spectrum_small(adjacency_matrix(simple_cycle(n)))
+    for k, z in enumerate(est.eigenvalues):
+        assert abs(z - cmath.exp(2j * math.pi * k / n)) <= 1e-9
 
 
 def test_spectrum_matches_numpy_on_corpus_blocks():
